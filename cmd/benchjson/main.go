@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -baseline bench/BASELINE_PR2.txt -o BENCH_PR2.json
+//	go test -run '^$' -bench SoakOpsPerCore -benchtime 1x . | benchjson -baseline bench/BASELINE_PR7.txt -o BENCH_PR7.json
 //
 // The parser understands the standard benchmark line shape — name,
 // iteration count, then (value, unit) pairs — and keeps whatever units
@@ -205,7 +205,7 @@ func main() {
 	for n := range baseline {
 		names[n] = true
 	}
-	rep := report{GeneratedBy: "make bench-json", Baseline: *baselinePath}
+	rep := report{GeneratedBy: "cmd/benchjson", Baseline: *baselinePath}
 	for n := range names {
 		e := entry{Name: n, Pkg: curPkgs[n], Baseline: baseline[n], Current: current[n]}
 		if e.Pkg == "" {

@@ -386,7 +386,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "  -memprofile FILE  write a pprof allocs profile of the run")
 	fmt.Fprintln(os.Stderr, "soak flags (after the seed): -nodes -ops -clients -objects -secondaries -write -create -zipf")
 	fmt.Fprintln(os.Stderr, "  -size -think -openloop -arrival -maxinflight -churn -downfor -grow -growat")
-	fmt.Fprintln(os.Stderr, "  -shards -backend -storedir -scrub -flush -introspect -iepoch -readsvc")
+	fmt.Fprintln(os.Stderr, "  -backend -storedir -scrub -flush -introspect -iepoch -readsvc")
 	fmt.Fprintln(os.Stderr, "  -flash -flashfor -flashmass -flashobjs -diurnal -nightrate -hotrotate")
 	fmt.Fprintln(os.Stderr, "scenarios flags (after the seed): -only NAME -armedonly -interval D")
 }

@@ -36,7 +36,6 @@ var soakOpts = struct {
 	downFor     time.Duration
 	grow        int
 	growAt      time.Duration
-	shards      int
 	backend     string
 	storeDir    string
 	scrub       time.Duration
@@ -92,7 +91,6 @@ func soakFlagSet() *flag.FlagSet {
 	fs.DurationVar(&o.downFor, "downfor", o.downFor, "how long a bounced node stays down")
 	fs.IntVar(&o.grow, "grow", o.grow, "nodes to add mid-run (0 disables growth)")
 	fs.DurationVar(&o.growAt, "growat", o.growAt, "virtual time of the growth burst")
-	fs.IntVar(&o.shards, "shards", o.shards, "kernel event-queue shards (0 = scale with nodes; output is identical at any value)")
 	fs.StringVar(&o.backend, "backend", o.backend, "fragment store backend: mem or disk (output is identical either way)")
 	fs.StringVar(&o.storeDir, "storedir", o.storeDir, "volume directory for -backend disk (empty = fresh temp dir, removed after)")
 	fs.DurationVar(&o.scrub, "scrub", o.scrub, "archival scrub/repair scheduler tick (0 disables maintenance)")
@@ -127,9 +125,6 @@ func runSoak(w io.Writer, seed int64, ob *obsink) {
 	}
 	if o.maxInfl > 0 {
 		cfg.MaxInFlight = o.maxInfl
-	}
-	if o.shards > 0 {
-		cfg.Shards = o.shards
 	}
 	cfg.Backend = o.backend
 	cfg.ScrubInterval = o.scrub

@@ -186,11 +186,11 @@ var replicaKinds = [...]string{kindRequest, kindPrePrepare, kindPrepare, kindCom
 
 // Demux keys (simnet O(1) dispatch): every protocol payload names its
 // tier by tag.
-func (r Request) Demux() simnet.DemuxKey        { return simnet.DemuxKey(r.Tag) }
-func (m prePrepareMsg) Demux() simnet.DemuxKey  { return simnet.DemuxKey(m.Tag) }
-func (m voteMsg) Demux() simnet.DemuxKey        { return simnet.DemuxKey(m.Tag) }
-func (m replyMsg) Demux() simnet.DemuxKey       { return simnet.DemuxKey(m.Tag) }
-func (m viewChangeMsg) Demux() simnet.DemuxKey  { return simnet.DemuxKey(m.Tag) }
+func (r Request) Demux() simnet.DemuxKey       { return simnet.DemuxKey(r.Tag) }
+func (m prePrepareMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
+func (m voteMsg) Demux() simnet.DemuxKey       { return simnet.DemuxKey(m.Tag) }
+func (m replyMsg) Demux() simnet.DemuxKey      { return simnet.DemuxKey(m.Tag) }
+func (m viewChangeMsg) Demux() simnet.DemuxKey { return simnet.DemuxKey(m.Tag) }
 
 type prePrepareMsg struct {
 	Tag       guid.GUID

@@ -57,9 +57,9 @@ type PoolConfig struct {
 	// BatchDelivery turns on simnet's same-tick delivery batching
 	// (one event-heap push per distinct delivery time).
 	BatchDelivery bool
-	// Shards partitions the kernel's event heap by region (domain mod
-	// Shards).  Under merge execution the trajectory is identical at
-	// any shard count; 0 or 1 leaves the kernel unsharded.
+	// Shards has no effect: the kernel runs one event queue.
+	//
+	// Deprecated: ignored; kept so existing callers still compile.
 	Shards int
 }
 
@@ -140,7 +140,6 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 		LatencyPerUnit: cfg.LatencyPerUnit,
 		DropProb:       cfg.DropProb,
 		BatchDelivery:  cfg.BatchDelivery,
-		Shards:         cfg.Shards,
 	})
 	nodes := net.AddRandomNodes(cfg.Nodes, cfg.Extent, cfg.Domains)
 	var mesh *plaxton.Mesh

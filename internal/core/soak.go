@@ -99,10 +99,9 @@ type SoakConfig struct {
 	Domains        int
 	BaseLatency    time.Duration
 	LatencyPerUnit time.Duration
-	// Shards partitions the kernel's event heap by region (domain mod
-	// Shards).  The trajectory is identical at any value (merge
-	// execution); large worlds shard so each region's queue stays
-	// small.  0 or 1 = unsharded.
+	// Shards has no effect: the kernel runs one event queue.
+	//
+	// Deprecated: ignored; kept so existing callers still compile.
 	Shards int
 }
 
@@ -139,7 +138,6 @@ func DefaultSoakConfig(nodes int) SoakConfig {
 		Domains:         8,
 		BaseLatency:     15 * time.Millisecond,
 		LatencyPerUnit:  time.Millisecond,
-		Shards:          clamp(nodes/16384, 1, 8),
 	}
 }
 
@@ -227,7 +225,6 @@ func NewSoakWorld(seed int64, cfg SoakConfig) (*SoakWorld, error) {
 		LatencyPerUnit: cfg.LatencyPerUnit,
 		NoMesh:         true,
 		BatchDelivery:  true,
-		Shards:         cfg.Shards,
 	}
 	switch cfg.Backend {
 	case "", "mem":

@@ -19,6 +19,7 @@ import (
 //   - a dedup horizon of roughly 2×CommitWindow recently committed
 //     update IDs, enough to absorb the tree-push/anti-entropy overlap;
 //   - live tentative updates no older than TentativeExpire.
+//
 // Everything else — update payloads, outcomes, ID bookkeeping — becomes
 // garbage as soon as it leaves these windows.
 type Retention struct {

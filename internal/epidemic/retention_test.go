@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"oceanstore/internal/guid"
-	"oceanstore/internal/obs"
 	"oceanstore/internal/object"
+	"oceanstore/internal/obs"
 )
 
 // commitChain commits n sequential appends to r and returns the key's

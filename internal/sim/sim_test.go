@@ -84,18 +84,117 @@ func TestEveryAndCancel(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
+// TestEveryCancelFromOtherEvent: a ticker cancelled from a different
+// event stops without firing again, a ticker cancelled before its first
+// tick never fires, and the dead tickers' last scheduled ticks drain
+// without effect.
+func TestEveryCancelFromOtherEvent(t *testing.T) {
+	k := NewKernel(1)
+	count := 0
+	cancel := k.Every(10*time.Millisecond, func() { count++ })
+	k.At(35*time.Millisecond, func() { cancel() })
+	never := 0
+	cancelNow := k.Every(50*time.Millisecond, func() { never++ })
+	cancelNow() // cancelled before the first tick
+	k.RunUntil(time.Second)
+	if count != 3 {
+		t.Fatalf("ticker fired %d times, want 3 (10,20,30ms then cancelled at 35ms)", count)
+	}
+	if never != 0 {
+		t.Fatalf("pre-cancelled ticker fired %d times", never)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("pending = %d after cancelled tickers drained, want 0", k.Pending())
+	}
+}
+
+// TestRunUntilPastEmptyQueue: advancing the clock beyond the last
+// event lands it on the target, so later After calls measure from the
+// right base, and RunUntil on an empty queue still advances.
+func TestRunUntilPastEmptyQueue(t *testing.T) {
+	k := NewKernel(1)
+	fired := false
+	k.At(5*time.Millisecond, func() { fired = true })
+	k.RunUntil(time.Second) // far past the only event
+	if !fired {
+		t.Fatal("event did not fire")
+	}
+	if k.Now() != time.Second {
+		t.Fatalf("clock = %v, want 1s", k.Now())
+	}
+	k.RunUntil(2 * time.Second)
+	if k.Now() != 2*time.Second {
+		t.Fatalf("empty-queue RunUntil left clock at %v", k.Now())
+	}
+	var at time.Duration
+	k.After(time.Millisecond, func() { at = k.Now() })
+	k.Run()
+	if at != 2*time.Second+time.Millisecond {
+		t.Fatalf("After from the advanced clock fired at %v", at)
+	}
+}
+
+// TestRunWhileChecksCondBeforeEachEvent: cond is consulted before
+// every event, and the first false stops the run with the remaining
+// events still queued and the clock on the last executed event.
+func TestRunWhileChecksCondBeforeEachEvent(t *testing.T) {
+	k := NewKernel(1)
+	fired, checks := 0, 0
+	for i := 1; i <= 5; i++ {
+		k.At(time.Duration(i)*time.Millisecond, func() { fired++ })
+	}
+	k.RunWhile(func() bool { checks++; return fired < 3 })
+	if fired != 3 {
+		t.Fatalf("fired = %d, want 3", fired)
+	}
+	if checks != 4 {
+		t.Fatalf("cond checked %d times, want 4 (once per event plus the stopping check)", checks)
+	}
+	if k.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", k.Pending())
+	}
+	if k.Now() != 3*time.Millisecond {
+		t.Fatalf("clock = %v, want 3ms", k.Now())
+	}
+}
+
+// TestRunWhileReturnsOnEmptyQueue: an always-true cond does not spin
+// once the queue drains, and events scheduled during the run execute.
+func TestRunWhileReturnsOnEmptyQueue(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0
-	k.At(1*time.Millisecond, func() { fired++; k.Halt() })
-	k.At(2*time.Millisecond, func() { fired++ })
-	k.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	k.At(time.Millisecond, func() {
+		fired++
+		k.After(time.Millisecond, func() { fired++ })
+	})
+	k.RunWhile(func() bool { return true })
+	if fired != 2 || k.Pending() != 0 {
+		t.Fatalf("fired = %d, pending = %d; want 2, 0", fired, k.Pending())
 	}
-	k.Run() // resumes
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after resume", fired)
+	if k.Now() != 2*time.Millisecond {
+		t.Fatalf("clock = %v, want 2ms", k.Now())
+	}
+}
+
+// TestRunForAdvancesPastDrainedQueue: RunFor(d) lands the clock on
+// now+d even when the queue empties before then, and leaves events
+// beyond the window queued.
+func TestRunForAdvancesPastDrainedQueue(t *testing.T) {
+	k := NewKernel(1)
+	k.At(10*time.Millisecond, func() {})
+	k.RunFor(50 * time.Millisecond)
+	if k.Now() != 50*time.Millisecond {
+		t.Fatalf("clock = %v, want 50ms", k.Now())
+	}
+	fired := false
+	k.After(30*time.Millisecond, func() { fired = true })
+	k.RunFor(20 * time.Millisecond)
+	if fired || k.Now() != 70*time.Millisecond || k.Pending() != 1 {
+		t.Fatalf("fired=%v clock=%v pending=%d; want false, 70ms, 1", fired, k.Now(), k.Pending())
+	}
+	k.RunFor(10 * time.Millisecond)
+	if !fired || k.Now() != 80*time.Millisecond {
+		t.Fatalf("fired=%v clock=%v; want true, 80ms", fired, k.Now())
 	}
 }
 

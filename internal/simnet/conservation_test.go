@@ -73,7 +73,7 @@ func TestPartitionConservation(t *testing.T) {
 	}
 }
 
-// TestPerLinkByteConservation: the sharded per-link byte counters sum
+// TestPerLinkByteConservation: the per-link byte counters sum
 // exactly to Stats.BytesSent, which matches a manual tally of every
 // size handed to Send by a live sender — dropped messages included,
 // crashed senders excluded — on both delivery paths.

@@ -25,16 +25,6 @@
 // tens of megabytes and the send path's crash/partition checks read
 // adjacent cache lines.  Node is a 16-byte value handle over that
 // storage.
-//
-// # Sharding
-//
-// With Config.Shards > 1 the network partitions the kernel's event
-// heap by region (administrative domain modulo shard count): message
-// deliveries are posted to the destination node's shard queue via
-// sim.Kernel.Post.  Under the kernel's merge execution this is pure
-// partitioning — event keys keep the single global (time, seq) order,
-// so a sharded run is byte-identical to an unsharded one at any shard
-// count and any GOMAXPROCS.
 package simnet
 
 import (
@@ -175,11 +165,6 @@ type Config struct {
 	// TestBatchDeliveryEquivalence).  Large worlds (10k nodes) run
 	// with this on.
 	BatchDelivery bool
-	// Shards partitions the kernel's event heap by region (domain mod
-	// Shards): unbatched deliveries post to the destination's shard
-	// queue.  0 or 1 leaves the kernel unsharded.  Requires the
-	// Network to own kernel shard configuration — set it at New time.
-	Shards int
 }
 
 // Stats aggregates traffic counters.  ByKind maps the message Kind tag
@@ -293,8 +278,6 @@ type Network struct {
 	om        *netMetrics
 	otr       *obs.Tracer
 	nextMsgID uint64
-
-	shards int // kernel shard count (≥ 1)
 }
 
 // netMetrics caches the network's obs handles so the per-message path
@@ -305,13 +288,11 @@ type netMetrics struct {
 	sent, delivered, bytes                                       *obs.Counter
 	dropCrash, dropPartition, dropFault, dropLoss, dropNoHandler *obs.Counter
 	crashes, recoveries, retries                                 *obs.Counter
-	// links shards the per-link counter table by the source node's
-	// region: one pre-sized map per shard, keyed by the packed
-	// (from, to) pair, instead of one lazy map per sender.  A sharded
-	// 100k-node world then keeps a handful of tables sized to their
-	// region's live link set, and growth never reallocates a spine of
-	// 100k map headers.
-	links       []map[uint64]*linkMetrics
+	// links is the per-link counter table: one map keyed by the packed
+	// (from, to) pair, pre-sized on first traffic, instead of one lazy
+	// map per sender, so growth never reallocates a spine of 100k map
+	// headers.
+	links       map[uint64]*linkMetrics
 	kindRetries map[string]*obs.Counter
 	// linkNames interns the per-destination metric names ("link_n7_bytes"),
 	// which depend only on the destination: with per-link cardinality the
@@ -348,23 +329,19 @@ func linkKey(from, to NodeID) uint64 {
 // pair answers "bytes/drops per link" (§5's per-flow observation).
 func (n *Network) link(from, to NodeID) *linkMetrics {
 	m := n.om
-	shard := n.shardOf(from)
-	tbl := m.links[shard]
-	if tbl == nil {
-		// Pre-size to the expected working set: a few live links per
-		// node in this shard.
-		tbl = make(map[uint64]*linkMetrics, 4*(len(n.addrs)/len(m.links)+1))
-		m.links[shard] = tbl
+	if m.links == nil {
+		// Pre-size to the expected working set: a few live links per node.
+		m.links = make(map[uint64]*linkMetrics, 4*(len(n.addrs)+1))
 	}
 	key := linkKey(from, to)
-	lm, ok := tbl[key]
+	lm, ok := m.links[key]
 	if !ok {
 		names := m.linkName(to)
 		lm = &linkMetrics{
 			bytes: m.reg.Counter(int(from), "simnet", names.bytes),
 			drops: m.reg.Counter(int(from), "simnet", names.drops),
 		}
-		tbl[key] = lm
+		m.links[key] = lm
 	}
 	return lm
 }
@@ -392,51 +369,24 @@ func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		crashes:       reg.Counter(obs.NodeWide, "simnet", "crashes"),
 		recoveries:    reg.Counter(obs.NodeWide, "simnet", "recoveries"),
 		retries:       reg.Counter(obs.NodeWide, "simnet", "retries"),
-		links:         make([]map[uint64]*linkMetrics, n.shards),
 		kindRetries:   make(map[string]*obs.Counter),
 		linkNames:     make(map[NodeID]linkNamePair),
 	}
 }
 
-// New creates an empty network over kernel k.  With cfg.Shards > 1 the
-// kernel's event heap is partitioned by region at this point, so New
-// must run before any event is scheduled on k.
+// New creates an empty network over kernel k.
 func New(k *sim.Kernel, cfg Config) *Network {
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 1 {
-		k.Shard(shards)
-	}
 	return &Network{
 		K:       k,
 		cfg:     cfg,
 		stats:   newStats(),
 		batches: make(map[time.Duration]*msgBatch),
-		shards:  shards,
 	}
 }
 
 func newStats() Stats {
 	return Stats{ByKind: make(map[string]int64), RetriesByKind: make(map[string]int)}
 }
-
-// Shards reports the configured shard count (≥ 1).
-func (n *Network) Shards() int { return n.shards }
-
-// shardOf maps a node to its kernel shard: region = domain mod shards,
-// so co-domain (latency-close) nodes share a queue.
-func (n *Network) shardOf(id NodeID) int {
-	if n.shards == 1 {
-		return 0
-	}
-	return int(uint32(n.domains[id])) % n.shards
-}
-
-// ShardOf exposes the node → shard mapping (epoch-mode worlds place
-// their per-region timers with it).
-func (n *Network) ShardOf(id NodeID) int { return n.shardOf(id) }
 
 // AddNode places a node at (x, y) and returns it.  The node's GUID is
 // drawn from the kernel's seeded randomness, mimicking the random
@@ -740,7 +690,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any, size int) {
 	e := n.getEnv()
 	e.m = msg
 	e.postGen = e.gen
-	n.K.Post(n.shardOf(from), n.shardOf(to), n.K.Now()+lat, e.deliver)
+	n.K.After(lat, e.deliver)
 }
 
 // envelope carries one in-flight message on the unbatched delivery
@@ -821,11 +771,7 @@ type msgBatch struct {
 // enqueueBatched appends the message to the batch for its delivery
 // tick, creating the batch — and its single kernel event — on first
 // use.  Append order is send order, which matches the unbatched
-// heap's (time, seq) order for equal-time deliveries.  Batches stay
-// network-global even on a sharded kernel: one flush event serves a
-// tick regardless of how many regions its messages land in, which is
-// exactly what keeps a sharded run's event set — and therefore its
-// trajectory — identical to an unsharded one.
+// heap's (time, seq) order for equal-time deliveries.
 func (n *Network) enqueueBatched(m Message, lat time.Duration) {
 	due := n.K.Now() + lat
 	b, ok := n.batches[due]

@@ -1,12 +1,12 @@
 package oceanstore
 
-// BenchmarkSoakOpsPerCore is the headline throughput number for the
-// sharded-kernel work (ISSUE 7): completed soak operations per second
-// of wall clock per core, at 10k and 100k nodes.  One iteration is a
-// full closed-loop soak run (reads, Fig-5 writes, creates, churn) with
-// world construction excluded from the timer, so the metric tracks
-// steady-state event-processing cost rather than setup.  The checked-in
-// baseline (bench/BASELINE_PR7.txt) pins the pre-shard numbers;
+// BenchmarkSoakOpsPerCore is the headline soak throughput number:
+// completed soak operations per second of wall clock per core, at 10k
+// and 100k nodes.  One iteration is a full closed-loop soak run
+// (reads, Fig-5 writes, creates, churn) with world construction
+// excluded from the timer, so the metric tracks steady-state
+// event-processing cost rather than setup.  The checked-in baseline
+// (bench/BASELINE_PR7.txt) pins the numbers before the scale work;
 // `make bench-gate-pr7` fails if ops/sec regresses.
 
 import (
