@@ -52,9 +52,10 @@ race-par:
 
 # Replay the checked-in fuzz seed corpora (testdata/fuzz/...) without
 # fuzzing — regression mode.  `go test -fuzz=FuzzRS ./internal/erasure`
-# explores beyond them.
+# (or -fuzz=FuzzBlobstoreRecover ./internal/blobstore) explores beyond
+# them.
 fuzz-corpora:
-	$(GO) test -run 'Fuzz' ./internal/erasure/
+	$(GO) test -run 'Fuzz' ./internal/erasure/ ./internal/blobstore/
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -156,15 +156,12 @@ func BenchmarkE5PlaxtonRouting(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			r := rand.New(rand.NewSource(3))
 			ids := make([]guid.GUID, n)
-			pos := make([][2]float64, n)
+			xs, ys := make([]float64, n), make([]float64, n)
 			for i := range ids {
 				ids[i] = guid.Random(r)
-				pos[i] = [2]float64{r.Float64() * 100, r.Float64() * 100}
+				xs[i], ys[i] = r.Float64()*100, r.Float64()*100
 			}
-			mesh := plaxton.New(ids, func(a, c int) float64 {
-				dx, dy := pos[a][0]-pos[c][0], pos[a][1]-pos[c][1]
-				return dx*dx + dy*dy
-			})
+			mesh := plaxton.New(ids, xs, ys)
 			b.ResetTimer()
 			hops := 0
 			for i := 0; i < b.N; i++ {

@@ -167,13 +167,13 @@ func runPlaxton(w io.Writer, seed int64, _ *obsink) {
 // randomMesh builds an n-node mesh over random plane positions.
 func randomMesh(n int, r *rand.Rand) (*plaxton.Mesh, func(a, b int) float64) {
 	ids := make([]guid.GUID, n)
-	pos := make([][2]float64, n)
+	xs, ys := make([]float64, n), make([]float64, n)
 	for i := range ids {
 		ids[i] = guid.Random(r)
-		pos[i] = [2]float64{r.Float64() * 100, r.Float64() * 100}
+		xs[i], ys[i] = r.Float64()*100, r.Float64()*100
 	}
 	dist := func(a, b int) float64 {
-		return math.Hypot(pos[a][0]-pos[b][0], pos[a][1]-pos[b][1])
+		return math.Hypot(xs[a]-xs[b], ys[a]-ys[b])
 	}
-	return plaxton.New(ids, dist), dist
+	return plaxton.New(ids, xs, ys), dist
 }

@@ -44,10 +44,9 @@ type PoolConfig struct {
 	// Salts sets the location mesh's salted-root redundancy.
 	Salts uint32
 	// NoMesh skips building the Plaxton location mesh.  Mesh
-	// construction is O(n²) in node count (every node's routing table
-	// scans every other node), which caps worlds at a few hundred
-	// nodes; soak deployments that address replicas directly set
-	// NoMesh so a 10k-node pool builds in O(n).  Locate and Router
+	// construction is O(n log n) in node count (about 5 s of CPU at
+	// 100k nodes); soak deployments that address replicas directly set
+	// NoMesh so the pool builds in O(n) without it.  Locate and Router
 	// are unavailable on a meshless pool.
 	NoMesh bool
 	// StoreFactory, when set, selects the fragment-store backend each
@@ -145,12 +144,11 @@ func NewPool(seed int64, cfg PoolConfig) *Pool {
 	var mesh *plaxton.Mesh
 	if !cfg.NoMesh {
 		ids := make([]guid.GUID, len(nodes))
+		xs, ys := make([]float64, len(nodes)), make([]float64, len(nodes))
 		for i, n := range nodes {
-			ids[i] = n.Addr()
+			ids[i], xs[i], ys[i] = n.Addr(), n.X(), n.Y()
 		}
-		mesh = plaxton.New(ids, func(a, b int) float64 {
-			return net.Distance(simnet.NodeID(a), simnet.NodeID(b))
-		})
+		mesh = plaxton.New(ids, xs, ys)
 		if cfg.Salts > 0 {
 			mesh.Salts = cfg.Salts
 		}

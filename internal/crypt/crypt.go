@@ -23,6 +23,7 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"oceanstore/internal/guid"
 )
@@ -118,31 +119,55 @@ func BlockDigest(ct []byte) guid.GUID {
 // ---- Signing ----
 
 // Signer holds an Ed25519 key pair and signs client updates and owner
-// certificates.
+// certificates.  The key pair is derived from the seed on first use:
+// Byzantine groups create a signer per replica per object, and those
+// keys are needed only when a commit certificate's signatures are
+// resolved.  A Signer must not be copied.
 type Signer struct {
+	seed [ed25519.SeedSize]byte
+	once sync.Once
 	pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
 }
 
-// NewSigner creates a key pair from the seeded source r.
+// NewSigner draws a key seed from the seeded source r — always exactly
+// ed25519.SeedSize/8 draws, so the source's stream does not depend on
+// which keys are later used.
 func NewSigner(r guid.Entropy) *Signer {
-	seed := make([]byte, ed25519.SeedSize)
-	for i := 0; i < len(seed); i += 8 {
-		binary.BigEndian.PutUint64(seed[i:], r.Uint64())
+	s := &Signer{}
+	for i := 0; i < len(s.seed); i += 8 {
+		binary.BigEndian.PutUint64(s.seed[i:], r.Uint64())
 	}
-	priv := ed25519.NewKeyFromSeed(seed)
-	return &Signer{pub: priv.Public().(ed25519.PublicKey), priv: priv}
+	return s
+}
+
+// derive expands the seed into the key pair once; safe for concurrent
+// callers.
+func (s *Signer) derive() {
+	s.once.Do(func() {
+		s.priv = ed25519.NewKeyFromSeed(s.seed[:])
+		s.pub = s.priv.Public().(ed25519.PublicKey)
+	})
 }
 
 // Public returns the raw public key bytes.
-func (s *Signer) Public() []byte { return []byte(s.pub) }
+func (s *Signer) Public() []byte {
+	s.derive()
+	return []byte(s.pub)
+}
 
 // GUID returns the signer's identity GUID — the secure hash of its
 // public key (§4.1).
-func (s *Signer) GUID() guid.GUID { return guid.FromPublicKey(s.pub) }
+func (s *Signer) GUID() guid.GUID {
+	s.derive()
+	return guid.FromPublicKey(s.pub)
+}
 
 // Sign signs msg.
-func (s *Signer) Sign(msg []byte) []byte { return ed25519.Sign(s.priv, msg) }
+func (s *Signer) Sign(msg []byte) []byte {
+	s.derive()
+	return ed25519.Sign(s.priv, msg)
+}
 
 // VerifySig checks sig over msg under the raw public key pub.
 func VerifySig(pub, msg, sig []byte) bool {

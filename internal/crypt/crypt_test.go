@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ed25519"
 	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"oceanstore/internal/guid"
 )
 
 func TestBlockCipherRoundTrip(t *testing.T) {
@@ -120,6 +123,56 @@ func TestSignerSignVerify(t *testing.T) {
 	}
 	if VerifySig(s.Public(), msg, sig[:10]) {
 		t.Fatal("malformed signature accepted")
+	}
+}
+
+// countingEntropy counts draws from a seeded source.
+type countingEntropy struct {
+	r     *rand.Rand
+	draws int
+}
+
+func (c *countingEntropy) Uint64() uint64 {
+	c.draws++
+	return c.r.Uint64()
+}
+
+// TestLazySignerMatchesEagerKey pins lazy key derivation: NewSigner
+// takes exactly four draws whether or not the key is ever used, and the
+// derived key signs and identifies exactly as a key built eagerly from
+// the same seed.
+func TestLazySignerMatchesEagerKey(t *testing.T) {
+	src := &countingEntropy{r: rand.New(rand.NewSource(8))}
+	s := NewSigner(src)
+	if src.draws != 4 {
+		t.Fatalf("NewSigner drew %d values, want 4", src.draws)
+	}
+	seed := make([]byte, ed25519.SeedSize)
+	r := rand.New(rand.NewSource(8))
+	for i := 0; i < len(seed); i += 8 {
+		binary.BigEndian.PutUint64(seed[i:], r.Uint64())
+	}
+	eager := ed25519.NewKeyFromSeed(seed)
+	msg := []byte("commit certificate")
+	if !bytes.Equal(s.Sign(msg), ed25519.Sign(eager, msg)) {
+		t.Fatal("lazy signature differs from the eager key's")
+	}
+	if !bytes.Equal(s.Public(), eager.Public().(ed25519.PublicKey)) {
+		t.Fatal("lazy public key differs from the eager key's")
+	}
+	if s.GUID() != guid.FromPublicKey(eager.Public().(ed25519.PublicKey)) {
+		t.Fatal("lazy GUID differs from the eager key's")
+	}
+	if src.draws != 4 {
+		t.Fatalf("using the key drew %d more values", src.draws-4)
+	}
+	// A second signer continues the stream where the first left it.
+	NewSigner(src)
+	for i := 0; i < 4; i++ {
+		r.Uint64()
+	}
+	if src.draws != 8 || src.r.Uint64() != r.Uint64() {
+		t.Fatal("signer seeds are not consecutive draws")
 	}
 }
 

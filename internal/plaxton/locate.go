@@ -151,11 +151,14 @@ func (m *Mesh) freshHolder(idx int, g guid.GUID, now time.Duration) (int, bool) 
 
 // ---- Maintenance: churn, repair, soft state (§4.3.3) ----
 
-// AddNode inserts a new node online: it builds the newcomer's table
-// from the existing mesh and offers the newcomer as a link to everyone
-// else — the steady state the paper's recursive insertion reaches.
-func (m *Mesh) AddNode(id guid.GUID) int {
+// AddNode inserts a new node at plane position (x, y) online: it
+// builds the newcomer's table from the existing mesh and offers the
+// newcomer as a link to everyone else — the steady state the paper's
+// recursive insertion reaches, in O(n).
+func (m *Mesh) AddNode(id guid.GUID, x, y float64) int {
 	idx := len(m.nodes)
+	m.xs = append(m.xs, x)
+	m.ys = append(m.ys, y)
 	m.nodes = append(m.nodes, m.newNode(id, idx))
 	if l := neededLevels(len(m.nodes)); l > m.levels {
 		m.growLevels(l)
@@ -163,7 +166,7 @@ func (m *Mesh) AddNode(id guid.GUID) int {
 	m.fillTable(idx)
 	for j := range m.nodes[:idx] {
 		if !m.nodes[j].Down {
-			m.offerLink(j, idx)
+			m.offerLink(j, idx, 0)
 		}
 	}
 	return idx
@@ -175,10 +178,10 @@ func (m *Mesh) growLevels(levels int) {
 		for len(n.table) < levels {
 			var row [Base]entry
 			for d := range row {
-				row[d] = entry{primary: -1}
+				row[d] = emptyEntry
 			}
 			l := len(n.table)
-			row[n.ID.Digit(l)] = entry{primary: i}
+			row[n.ID.Digit(l)].primary = int32(i)
 			n.table = append(n.table, row)
 		}
 	}
@@ -193,18 +196,11 @@ func (m *Mesh) RemoveNode(idx int) { m.nodes[idx].Down = true }
 // ReviveNode brings a node back; callers should Republish its content.
 func (m *Mesh) ReviveNode(idx int) { m.nodes[idx].Down = false }
 
-// Repair rebuilds every live node's routing table, dropping links to
-// dead nodes — the continuous monitor-and-repair process of §4.3.3,
-// applied in one sweep.
-func (m *Mesh) Repair() {
-	for i, n := range m.nodes {
-		if n.Down {
-			continue
-		}
-		n.table = m.newNode(n.ID, i).table
-		m.fillTable(i)
-	}
-}
+// Repair rebuilds every live node's routing table over the live
+// nodes, dropping links to dead nodes — the continuous
+// monitor-and-repair process of §4.3.3, applied in one sweep.  Down
+// nodes keep their stale tables until they are revived and repaired.
+func (m *Mesh) Repair() { m.rebuild() }
 
 // ExpireSoftState drops expired pointers and all pointers stored on
 // dead nodes' behalf.  Combined with periodic Publish (republish), this

@@ -36,12 +36,23 @@ const Base = 16
 // keeps besides the primary (§4.3.3 "additional neighbor links").
 const backupsPerEntry = 2
 
-// entry is one routing-table slot: a primary link plus backups, sorted
-// by network distance.
+// entry is one routing-table slot: a primary link plus up to
+// backupsPerEntry backups, closest first, with -1 marking an empty
+// link.  Entries are fixed-size and pointer-free, so a node's table is
+// one flat allocation the garbage collector never scans.
 type entry struct {
-	primary int
-	backups []int
+	primary int32
+	backups [backupsPerEntry]int32
 }
+
+// emptyEntry is a slot with no links.
+var emptyEntry = func() entry {
+	e := entry{primary: -1}
+	for i := range e.backups {
+		e.backups[i] = -1
+	}
+	return e
+}()
 
 // pointer is a deposited location pointer: object GUID → the node
 // currently holding a replica.  Expiry implements soft state: without
@@ -62,12 +73,13 @@ type Node struct {
 	pointers map[guid.GUID][]pointer
 }
 
-// Mesh is the global structure.  Distances come from the caller (the
-// simulated network), so "closest neighbour" reflects IP proximity as
-// in the paper.
+// Mesh is the global structure.  Network distance is Euclidean distance
+// between the nodes' positions on the latency plane (the simulated
+// network's model), so "closest neighbour" reflects IP proximity as in
+// the paper.
 type Mesh struct {
 	nodes  []*Node
-	dist   func(a, b int) float64
+	xs, ys []float64 // plane positions, by node index
 	levels int
 	// Salts is the number of salted roots per GUID (§4.3.3); publish and
 	// locate spread over all of them.
@@ -85,26 +97,36 @@ type RouteResult struct {
 // Hops returns the number of edges traversed.
 func (r RouteResult) Hops() int { return len(r.Path) - 1 }
 
-// New builds a mesh over n pre-assigned node IDs with the given
-// distance oracle.  Tables are constructed from global knowledge —
-// the steady state the paper's online insertion algorithm converges to.
-func New(ids []guid.GUID, dist func(a, b int) float64) *Mesh {
+// New builds a mesh over n pre-assigned node IDs placed at (xs[i],
+// ys[i]); the coordinates are copied.  Tables are constructed from
+// global knowledge — the steady state the paper's online insertion
+// algorithm converges to — by the exact nearest-neighbour builder in
+// build.go.
+func New(ids []guid.GUID, xs, ys []float64) *Mesh {
+	if len(xs) != len(ids) || len(ys) != len(ids) {
+		panic(fmt.Sprintf("plaxton: %d ids but %d/%d coordinates", len(ids), len(xs), len(ys)))
+	}
+	n := len(ids)
 	m := &Mesh{
-		dist:   dist,
-		levels: neededLevels(len(ids)),
+		xs:     append([]float64(nil), xs...),
+		ys:     append([]float64(nil), ys...),
+		levels: neededLevels(n),
 		Salts:  1,
 	}
+	nodes := make([]Node, n)
+	tables := make([][Base]entry, n*m.levels)
+	m.nodes = make([]*Node, n)
 	for i, id := range ids {
-		m.nodes = append(m.nodes, m.newNode(id, i))
+		nodes[i] = Node{ID: id, Index: i, pointers: make(map[guid.GUID][]pointer)}
+		nodes[i].table = tables[i*m.levels : (i+1)*m.levels : (i+1)*m.levels]
+		m.nodes[i] = &nodes[i]
 	}
-	for i := range m.nodes {
-		m.fillTable(i)
-	}
+	m.rebuild()
 	return m
 }
 
 // neededLevels bounds table height: routing resolves one digit per
-// level and IDs are random, so log16(n)+4 levels suffice with slack.
+// level and IDs are random, so log16(n)+6 levels suffice with slack.
 func neededLevels(n int) int {
 	if n < 2 {
 		return 1
@@ -119,12 +141,19 @@ func neededLevels(n int) int {
 func (m *Mesh) newNode(id guid.GUID, idx int) *Node {
 	n := &Node{ID: id, Index: idx, pointers: make(map[guid.GUID][]pointer)}
 	n.table = make([][Base]entry, m.levels)
+	m.resetTable(n)
+	return n
+}
+
+// resetTable empties n's table except for its loopbacks: n itself
+// always occupies its own digit slot at every level.
+func (m *Mesh) resetTable(n *Node) {
 	for l := range n.table {
 		for d := range n.table[l] {
-			n.table[l][d] = entry{primary: -1}
+			n.table[l][d] = emptyEntry
 		}
+		n.table[l][n.ID.Digit(l)].primary = int32(n.Index)
 	}
-	return n
 }
 
 // Len returns the number of nodes ever added (including down ones).
@@ -133,68 +162,87 @@ func (m *Mesh) Len() int { return len(m.nodes) }
 // Node returns node i.
 func (m *Mesh) Node(i int) *Node { return m.nodes[i] }
 
-// fillTable populates node i's routing table from all live nodes.
+// dist is the network distance between nodes a and b.  Every
+// comparison that picks a link uses exactly this float.
+func (m *Mesh) dist(a, b int) float64 {
+	return math.Hypot(m.xs[a]-m.xs[b], m.ys[a]-m.ys[b])
+}
+
+// fillTable populates node i's routing table by offering it every live
+// node — O(n), used for a single online insertion.
 func (m *Mesh) fillTable(i int) {
-	x := m.nodes[i]
-	for l := 0; l < m.levels; l++ {
-		// Loopback: X itself always occupies its own digit slot.
-		x.table[l][x.ID.Digit(l)] = entry{primary: i}
-	}
 	for j, y := range m.nodes {
 		if j == i || y.Down {
 			continue
 		}
-		m.offerLink(i, j)
+		m.offerLink(i, j, 0)
 	}
 }
 
 // offerLink considers node j as a routing entry for node i at every
-// level where it qualifies, keeping the closest as primary and the next
-// closest as backups.
-func (m *Mesh) offerLink(i, j int) {
+// level from `from` up where it qualifies, keeping the closest as
+// primary and the next closest as backups.
+func (m *Mesh) offerLink(i, j, from int) {
 	x, y := m.nodes[i], m.nodes[j]
 	match := x.ID.MatchingDigits(y.ID)
 	if match >= m.levels {
 		match = m.levels - 1
 	}
-	for l := 0; l <= match && l < m.levels; l++ {
-		d := int(y.ID.Digit(l))
-		e := &x.table[l][d]
-		if e.primary == i && d == int(x.ID.Digit(l)) {
-			// Loopback slot: keep self as primary, use y as backup.
-			insertBackup(e, j, i, m.dist)
-			continue
-		}
-		if e.primary < 0 {
-			e.primary = j
-			continue
-		}
-		if m.dist(i, j) < m.dist(i, e.primary) {
-			insertBackup(e, e.primary, i, m.dist)
-			e.primary = j
-		} else {
-			insertBackup(e, j, i, m.dist)
-		}
+	for l := from; l <= match; l++ {
+		d := y.ID.Digit(l)
+		m.offer(&x.table[l][d], i, j, d == x.ID.Digit(l))
+	}
+}
+
+// offer applies candidate j to one slot e of owner i's table.  In the
+// loopback slot (own digit) i stays primary and j can only become a
+// backup; elsewhere a strictly closer j takes over as primary and the
+// old primary drops to the backups.  The outcome depends on the order
+// of offers when distances tie, so every builder offers a slot's
+// candidates in ascending node index.
+func (m *Mesh) offer(e *entry, i, j int, loopback bool) {
+	switch {
+	case loopback:
+		m.insertBackup(e, j, i)
+	case e.primary < 0:
+		e.primary = int32(j)
+	case m.dist(i, j) < m.dist(i, int(e.primary)):
+		m.insertBackup(e, int(e.primary), i)
+		e.primary = int32(j)
+	default:
+		m.insertBackup(e, j, i)
 	}
 }
 
 // insertBackup adds candidate to e's backups, keeping the closest
-// backupsPerEntry by distance from owner.
-func insertBackup(e *entry, candidate, owner int, dist func(a, b int) float64) {
+// backupsPerEntry by distance from owner.  A new candidate sinks below
+// backups at an equal distance.
+func (m *Mesh) insertBackup(e *entry, candidate, owner int) {
+	var buf [backupsPerEntry + 1]int32
+	n := 0
 	for _, b := range e.backups {
-		if b == candidate {
+		if b < 0 {
+			break
+		}
+		if int(b) == candidate {
 			return
 		}
+		buf[n] = b
+		n++
 	}
-	e.backups = append(e.backups, candidate)
+	buf[n] = int32(candidate)
+	n++
 	// Insertion sort by distance; truncate.
-	for i := len(e.backups) - 1; i > 0; i-- {
-		if dist(owner, e.backups[i]) < dist(owner, e.backups[i-1]) {
-			e.backups[i], e.backups[i-1] = e.backups[i-1], e.backups[i]
+	for i := n - 1; i > 0; i-- {
+		if m.dist(owner, int(buf[i])) < m.dist(owner, int(buf[i-1])) {
+			buf[i], buf[i-1] = buf[i-1], buf[i]
 		}
 	}
-	if len(e.backups) > backupsPerEntry {
-		e.backups = e.backups[:backupsPerEntry]
+	for i := range e.backups {
+		e.backups[i] = -1
+		if i < n {
+			e.backups[i] = buf[i]
+		}
 	}
 }
 
@@ -211,14 +259,14 @@ func (m *Mesh) nextHop(cur int, target guid.GUID, level int) int {
 	want := int(target.Digit(level))
 	for k := 0; k < Base; k++ {
 		d := (want + k) % Base
-		e := x.table[level][d]
+		e := &x.table[level][d]
 		if e.primary >= 0 && !m.nodes[e.primary].Down {
-			return e.primary
+			return int(e.primary)
 		}
 		// Primary dead: fail over to a backup link (§4.3.3 redundancy).
 		for _, b := range e.backups {
 			if b >= 0 && !m.nodes[b].Down {
-				return b
+				return int(b)
 			}
 		}
 	}
@@ -237,19 +285,19 @@ func (m *Mesh) HopCandidates(cur int, target guid.GUID, level int, cap int) []in
 	x := m.nodes[cur]
 	want := int(target.Digit(level))
 	var out []int
-	add := func(c int) bool {
+	add := func(c int32) bool {
 		if c < 0 || m.nodes[c].Down {
 			return false
 		}
-		out = append(out, c)
+		out = append(out, int(c))
 		return cap > 0 && len(out) >= cap
 	}
 	for k := 0; k < Base; k++ {
-		e := x.table[level][(want+k)%Base]
+		e := &x.table[level][(want+k)%Base]
 		if add(e.primary) {
 			return out
 		}
-		if e.primary == cur && !m.nodes[cur].Down {
+		if int(e.primary) == cur && !m.nodes[cur].Down {
 			// Loopback: the level resolves in place; farther slots are
 			// only surrogate fallbacks for a dead cur, which cannot apply
 			// to the node doing the routing.

@@ -22,8 +22,17 @@ func (p *plane) dist(a, b int) float64 {
 
 // add places a new node and inserts it into the mesh online.
 func (p *plane) add(m *Mesh) int {
-	p.pos = append(p.pos, [2]float64{p.r.Float64() * 100, p.r.Float64() * 100})
-	return m.AddNode(guid.Random(p.r))
+	x, y := p.r.Float64()*100, p.r.Float64()*100
+	p.pos = append(p.pos, [2]float64{x, y})
+	return m.AddNode(guid.Random(p.r), x, y)
+}
+
+// coords splits the positions into the x and y slices New takes.
+func (p *plane) coords() (xs, ys []float64) {
+	for _, q := range p.pos {
+		xs, ys = append(xs, q[0]), append(ys, q[1])
+	}
+	return xs, ys
 }
 
 // testMesh builds an n-node mesh with nodes at random plane positions.
@@ -36,7 +45,8 @@ func testMesh(t *testing.T, n int, seed int64) (*Mesh, *plane, *rand.Rand) {
 		ids[i] = guid.Random(r)
 		p.pos = append(p.pos, [2]float64{r.Float64() * 100, r.Float64() * 100})
 	}
-	return New(ids, p.dist), p, r
+	xs, ys := p.coords()
+	return New(ids, xs, ys), p, r
 }
 
 func TestRouteConvergesToUniqueRoot(t *testing.T) {

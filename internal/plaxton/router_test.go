@@ -25,15 +25,15 @@ func newRouterRig(t *testing.T, n int, seed int64, cfg RouterConfig) *routerRig 
 	t.Helper()
 	k := sim.NewKernel(seed)
 	net := simnet.New(k, simnet.Config{BaseLatency: 5 * time.Millisecond})
-	net.AddRandomNodes(n, 100, 4)
+	nodes := net.AddRandomNodes(n, 100, 4)
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]guid.GUID, n)
-	for i := range ids {
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i, nd := range nodes {
 		ids[i] = guid.Random(rng)
+		xs[i], ys[i] = nd.X(), nd.Y()
 	}
-	m := New(ids, func(a, b int) float64 {
-		return net.Distance(simnet.NodeID(a), simnet.NodeID(b))
-	})
+	m := New(ids, xs, ys)
 	return &routerRig{k: k, net: net, m: m, r: NewRouter(m, net, cfg)}
 }
 

@@ -4,6 +4,7 @@ package oceanstore
 // per-experiment benches in bench_test.go.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"oceanstore/internal/epidemic"
 	"oceanstore/internal/guid"
 	"oceanstore/internal/object"
+	"oceanstore/internal/plaxton"
 	"oceanstore/internal/sim"
 	"oceanstore/internal/simnet"
 	"oceanstore/internal/update"
@@ -172,6 +174,31 @@ func BenchmarkSignVerifyUpdate(b *testing.B) {
 		if !u.VerifySig() {
 			b.Fatal("verify failed")
 		}
+	}
+}
+
+var meshSink *plaxton.Mesh
+
+// BenchmarkMeshBuild measures the Plaxton routing-table build over n
+// nodes at uniform random plane positions, reported per node: the
+// O(n log n) builder's ns/node grows far slower than n, where the
+// all-pairs build it replaced grew ns/node in proportion to n.
+func BenchmarkMeshBuild(b *testing.B) {
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(11))
+			ids := make([]guid.GUID, n)
+			xs, ys := make([]float64, n), make([]float64, n)
+			for i := range ids {
+				ids[i] = guid.Random(r)
+				xs[i], ys[i] = r.Float64()*1000, r.Float64()*1000
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				meshSink = plaxton.New(ids, xs, ys)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+		})
 	}
 }
 
